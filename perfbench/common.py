@@ -35,7 +35,8 @@ class Result:
         self.restarts = 0
         self.lost = 0           # operations in flight when a child died (re-run)
         self.problems = []      # failed correctness checks
-        self.unmeasured = []    # metrics the run could not measure
+        self.unmeasured = []    # end-to-end figures the run could not measure
+        self.unmeasured_layers = []  # per-layer figures the traced run could not measure
         self.e2e = {}           # name -> (value, unit)
         self.layer = {}         # name -> (value, unit)
         self.notes = []         # extra human-readable lines
@@ -46,9 +47,17 @@ class Result:
             self.problems.append(problem)
 
     def require(self, ok, what):
-        """A measurement the run's metrics need (not an output check)."""
+        """A measurement the end-to-end metrics need (not an output check).
+        Returns `ok`, so that a figure is only computed when it can be."""
         if not ok:
             self.unmeasured.append(what)
+        return ok
+
+    def require_layer(self, ok, what):
+        """The same for a per-layer figure of a traced run."""
+        if not ok:
+            self.unmeasured_layers.append(what)
+        return ok
 
 
 def percentile(values, q):
@@ -199,24 +208,35 @@ class Supervised:
         return [(inc, t, p) for inc, t, g, p in self.events if g == tag]
 
 
-def setup_samples(argv, state, name, count, samples=()):
-    """Tops `samples` (start->READY times already observed) up to `count`
-    with set-up-only children."""
-    samples = list(samples)
-    attempts = 0
-    while len(samples) < count and attempts < 3 * count:
-        attempts += 1
-        child = Child(argv + ["--setup-only=1"], os.path.join(state, name + "-setup.stderr"))
-        ready = None
+def run_child(argv, stderr_path, done_tag, attempts=1):
+    """Runs a harness child to its end, again (up to `attempts` times) until
+    it exits 0 having printed `done_tag`. Returns that run's lines as
+    (seconds since its start, tag, payload), or None."""
+    for _ in range(attempts):
+        child = Child(argv, stderr_path)
+        lines = []
         while True:
             item = child.lines.get()
             if item is None:
                 break
-            if item[1] == "READY" and ready is None:
-                ready = item[0] - child.t0
+            lines.append((item[0] - child.t0, item[1], item[2]))
         status, _ = child.wait()
-        if ready is not None and status == 0:
-            samples.append(ready)
+        if status == 0 and any(tag == done_tag for _, tag, _ in lines):
+            return lines
+    return None
+
+
+def setup_samples(argv, state, name, count, samples=()):
+    """Tops `samples` (start->READY times already observed) up to `count`
+    with set-up-only children."""
+    samples = list(samples)
+    stderr_path = os.path.join(state, name + "-setup.stderr")
+    attempts = 0
+    while len(samples) < count and attempts < 3 * count:
+        attempts += 1
+        lines = run_child(argv + ["--setup-only=1"], stderr_path, "READY")
+        if lines is not None:
+            samples.append(next(t for t, tag, _ in lines if tag == "READY"))
     return samples
 
 

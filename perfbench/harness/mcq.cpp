@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "common.hpp"
 #include "oracle.hpp"
@@ -13,8 +14,10 @@
 
 #include "core/model_zoo.hpp"
 #include "eval/full_instruct.hpp"
+#include "eval/prefix_cache.hpp"
 #include "eval/prompts.hpp"
 #include "eval/token_method.hpp"
+#include "nn/sampler.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -244,14 +247,24 @@ int run_mcq(const util::ArgParser& args) {
   }
   std::size_t instruct_checked = 0;
   if (first_instruct != nullptr) {
+    // The sampled questions run the way the supervised pass runs them: a
+    // fork of the same instruct-preamble cache, through one sampler that
+    // persists across questions. Their text is checked against the oracle
+    // and their letter against the pass's answer.
+    const std::unique_ptr<eval::PrefixCache> cache = eval::PrefixCache::build(
+        model, world.tok,
+        {eval::build_instruct_prompt(benchmark[0]), eval::build_instruct_prompt(benchmark[1])});
+    eval::FullInstructConfig per_question = instruct;
+    per_question.prefix_cache = cache.get();
+    nn::Sampler sampler(model);
     util::Rng pick(mix_seed(child.seed, 5));
     for (std::size_t s = 0; s < kInstructSamples; ++s) {
       const std::size_t q = static_cast<std::size_t>(pick.next_u64() % benchmark.size());
       const eval::FullInstructOutcome outcome =
-          eval::full_instruct_one(model, world.tok, benchmark[q], instruct);
+          eval::full_instruct_one(model, world.tok, benchmark[q], per_question, &sampler);
       if (outcome.result.predicted != first_instruct->answers[q]) {
         problems.push_back("instruct q" + std::to_string(q) +
-                           ": supervised answer differs from a direct run");
+                           ": supervised answer differs from the prefix-forked run");
       }
       const auto ids = world.tok.encode(eval::build_instruct_prompt(benchmark[q]));
       const std::vector<nn::Token> prompt(ids.begin(), ids.end());
@@ -269,6 +282,9 @@ int run_mcq(const util::ArgParser& args) {
       ties += expect.first_tie < expect.tokens.size() ? 1 : 0;
       ++instruct_checked;
       emit("VERIFY_PROGRESS", json::Value::object());
+    }
+    if (cache == nullptr || cache->stats().reused_tokens == 0) {
+      problems.push_back("the instruct check reused no prefix-cache tokens");
     }
   }
   json::Value verify = json::Value::object();

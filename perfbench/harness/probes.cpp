@@ -83,11 +83,12 @@ void probe_multi_gemv(util::Rng& rng) {
   probe("tensor.multi_gemv_gbps", bytes / seconds / 1e9, "GB/s");
 }
 
-/// sgemm on cpt_train's forward and backward shapes (micro-batch 2 x 416
-/// positions through the S70 linears).
+/// sgemm on cpt_train's forward and backward shapes (micro-batch x
+/// sequence positions through the S70 linears).
 void probe_sgemm(util::Rng& rng) {
   const nn::GptConfig arch = core::scale_spec(core::Scale::kS70, core::WorldConfig{}).arch;
-  const std::size_t bt = 2 * arch.ctx_len;
+  const nn::TrainConfig train = cpt_train_config(core::WorldConfig{});
+  const std::size_t bt = train.micro_batch * train.seq_len;
   struct Shape { bool ta, tb; std::size_t m, n, k; };
   std::vector<Shape> shapes;
   for (std::size_t out : {3 * arch.d_model, arch.d_model, arch.d_ff, arch.vocab_size}) {
@@ -186,7 +187,8 @@ void probe_training(util::Rng& rng) {
   nn::GptConfig arch = core::scale_spec(core::Scale::kS70, core::WorldConfig{}).arch;
   nn::GptModel model(arch);
   model.init_weights(rng);
-  const std::size_t batch = 2, seq = arch.ctx_len;
+  const nn::TrainConfig train = cpt_train_config(core::WorldConfig{});
+  const std::size_t batch = train.micro_batch, seq = train.seq_len;
   std::vector<nn::Token> tokens(batch * seq), targets(batch * seq);
   for (auto& t : tokens) t = static_cast<nn::Token>(rng.next_u64() % arch.vocab_size);
   for (auto& t : targets) t = static_cast<nn::Token>(rng.next_u64() % arch.vocab_size);

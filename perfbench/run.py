@@ -82,18 +82,14 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         declared = json.load(handle)["per_layer" if args.trace else "end_to_end"]
     measured = result.layer if args.trace else result.e2e
+    unmeasured = result.unmeasured_layers if args.trace else result.unmeasured
     metrics = {}
     for spec in declared:
         if spec["name"] in measured:
             metrics[spec["name"]] = (measured[spec["name"]][0], spec["unit"])
-        elif args.trace:
-            # A companion slice whose child crashed before it could report
-            # leaves a per-layer figure out; say so rather than fail the run.
-            metrics[spec["name"]] = (0.0, spec["unit"])
-            result.notes.append("per-layer %s not measured in this run" % spec["name"])
         else:
-            result.unmeasured.append("metric %s" % spec["name"])
-    for what in result.unmeasured:
+            unmeasured.append("metric %s" % spec["name"])
+    for what in unmeasured:
         result.check(False, "not measured: " + what)
 
     print("workload %s: attempted=%d failed=%d restarts=%d lost_in_flight=%d correct=%s"

@@ -1,19 +1,21 @@
 """The four workloads. Each function runs one workload for `seconds` of
 measurement and returns a common.Result with its end-to-end metrics (and,
-when traced, its per-layer metrics)."""
+when traced, its per-layer metrics). A traced run with `lead_in` > 0 keeps
+its first `lead_in` seconds untraced and reports util.trace_overhead_ratio
+from the two parts; a figure that a run cannot measure is left out and
+named in Result.unmeasured or Result.unmeasured_layers."""
 
 import json
 import os
 import random
-import subprocess
 import threading
 import time
 
-from common import (BUILD_DIR, HARNESS, NPROC, SERVE, Child, Result, Supervised,
-                    live_bin_rates, live_rate, median, up_time, percentile, self_times, setup_samples, stop_process,
-                    tail_quantile, trace_files, window)
-from serve_load import (MAX_NEW_TOKENS, SERVE_FLAGS, WORLD_FLAGS, Connection, MetricsScraper,
-                        ServerProcess, Traffic, closed_loop, open_loop, session_followups)
+from common import (BUILD_DIR, HARNESS, NPROC, Result, Supervised, live_bin_rates, live_rate,
+                    log, median, percentile, run_child, self_times, setup_samples, tail_quantile,
+                    trace_files, up_time, window)
+from serve_load import (MAX_NEW_TOKENS, WORLD_FLAGS, Connection, MetricsScraper, ServerProcess,
+                        Traffic, closed_loop, open_loop, session_followups)
 
 SETUP_SAMPLES = 3          # set-ups per run; setup_s is their median
 # A run gives up (and reports incorrect) past this point, so that it ends
@@ -105,27 +107,27 @@ def mcq_eval(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLES)
     layer = result.layer
 
     def rate(ps):
-        w = sum(p["wall"] for p in ps)
-        return sum(p["questions"] for p in ps) / w if w > 0 else 0.0
+        return sum(p["questions"] for p in ps) / sum(p["wall"] for p in ps)
 
     def per_question(ps, key):
-        q = sum(p["questions"] for p in ps)
-        return sum(p["counters"].get(key, 0) for p in ps) / q if q else 0.0
+        return sum(p["counters"].get(key, 0) for p in ps) / sum(p["questions"] for p in ps)
 
     tr_tok = [p for p in traced if p["method"] == "token"]
     tr_ins = [p for p in traced if p["method"] == "instruct"]
+    if not result.require_layer(bool(tr_tok and tr_ins), "a traced pass of each method"):
+        return result
     layer["eval.token_questions_per_s"] = (rate(tr_tok), "1/s")
     layer["eval.instruct_questions_per_s"] = (rate(tr_ins), "1/s")
     layer["eval.token_question_ms_p50"] = (median([p["p50_s"] * 1000 for p in tr_tok]), "ms")
     layer["eval.instruct_question_ms_p50"] = (median([p["p50_s"] * 1000 for p in tr_ins]), "ms")
     prompt_tokens = sum(p["cache_prompt_tokens"] for p in token)
     reused = sum(p["cache_reused_tokens"] for p in token)
-    layer["eval.prefix_reuse_ratio"] = (reused / prompt_tokens if prompt_tokens else 0.0, "ratio")
+    layer["eval.prefix_reuse_ratio"] = (reused / prompt_tokens, "ratio")
     layer["eval.prefix_cache_hits"] = (per_question(traced, "prefix_cache.hits"), "count")
     layer["eval.prefix_cache_misses"] = (per_question(traced, "prefix_cache.misses"), "count")
     busy = sum(p["busy_s"] for p in traced)
     wall = sum(p["wall"] for p in traced)
-    layer["eval.worker_busy_ratio"] = (busy / (NPROC * wall) if wall else 0.0, "ratio")
+    layer["eval.worker_busy_ratio"] = (busy / (NPROC * wall), "ratio")
     layer["eval.generated_tokens_per_question"] = (
         per_question(tr_ins, "nn.generated_tokens"), "tokens")
     layer["eval.retries"] = (sum(p["retries"] for p in passes.values()), "count")
@@ -133,19 +135,25 @@ def mcq_eval(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLES)
     # Prompt tokens actually fed per token-method question (prompt minus the
     # forked prefix). Each fed token computes a full logit row and only the
     # last row is read.
-    fed = (prompt_tokens - reused) / max(1, sum(p["questions"] for p in token))
+    fed = (prompt_tokens - reused) / sum(p["questions"] for p in token)
     layer["nn.prefill_tokens"] = (fed, "count")
-    layer["nn.logit_rows_used_ratio"] = (1.0 / fed if fed else 0.0, "computed")
+    layer["nn.logit_rows_used_ratio"] = (1.0 / fed, "computed")
     layer["tensor.gemv_calls"] = (per_question(traced, "gemm.gemv_calls"), "count")
     layer["tensor.multi_gemv_calls"] = (per_question(traced, "gemm.multi_gemv_calls"), "count")
     layer["tensor.gemm_calls"] = (per_question(traced, "gemm.calls"), "count")
     layer["util.pool_tasks"] = (per_question(traced, "pool.tasks_submitted"), "count")
-    layer["util.trace_overhead_ratio"] = (
-        rate(untraced) / rate(traced) - 1.0 if traced and untraced else 0.0, "ratio")
-    layer["util.peak_tracked_mb"] = (verdict.get("peak_tracked_bytes", 0.0) / 1e6, "MB")
-    ready = sup.tagged("READY")
-    if ready:
-        layer["core.build_world_s"] = (ready[0][2]["build_world_s"], "s")
+    # Trace overhead from per-question latency: pass rates would also count
+    # the work crashes lose, and tracing changes how often the pool crashes.
+    un_tok = [p["p50_s"] for p in untraced if p["method"] == "token"]
+    un_ins = [p["p50_s"] for p in untraced if p["method"] == "instruct"]
+    if lead_in > 0 and result.require_layer(bool(un_tok and un_ins),
+                                            "an untraced pass of each method"):
+        layer["util.trace_overhead_ratio"] = (
+            (median([p["p50_s"] for p in tr_tok]) + median([p["p50_s"] for p in tr_ins]))
+            / (median(un_tok) + median(un_ins)) - 1.0, "ratio")
+    if result.require_layer("peak_tracked_bytes" in verdict, "tracked memory peak"):
+        layer["util.peak_tracked_mb"] = (verdict["peak_tracked_bytes"] / 1e6, "MB")
+    layer["core.build_world_s"] = (sup.tagged("READY")[0][2]["build_world_s"], "s")
     add_self_times(result, state)
     return result
 
@@ -199,18 +207,19 @@ def decode_bound(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMP
         return result
     layer = result.layer
     traced = [p for p in seqs if p["traced"]]
-    layer["nn.engine_admit_wait_ms_p50"] = (
-        percentile([p["admit_ms"] for p in traced], 0.5), "ms")
-    traced_stamps = [t for t in stamps if t >= start + lead_in]
-    untraced_stamps = [t for t in stamps if t < start + lead_in]
-    traced_rate = median(live_bin_rates(traced_stamps, sup.live, start + lead_in, end,
-                                        DECODE_BIN_S))
-    untraced_rate = median(live_bin_rates(untraced_stamps, sup.live, start, start + lead_in,
-                                          DECODE_BIN_S))
-    layer["util.trace_overhead_ratio"] = (
-        untraced_rate / traced_rate - 1.0 if traced_rate and untraced_rate else 0.0, "ratio")
+    if result.require_layer(bool(traced), "a traced sequence"):
+        layer["nn.engine_admit_wait_ms_p50"] = (
+            percentile([p["admit_ms"] for p in traced], 0.5), "ms")
+    if lead_in > 0:
+        traced_rate = median(live_bin_rates([t for t in stamps if t >= start + lead_in],
+                                            sup.live, start + lead_in, end, DECODE_BIN_S))
+        untraced_rate = median(live_bin_rates([t for t in stamps if t < start + lead_in],
+                                              sup.live, start, start + lead_in, DECODE_BIN_S))
+        if result.require_layer(traced_rate > 0 and untraced_rate > 0,
+                                "decode rates with and without tracing"):
+            layer["util.trace_overhead_ratio"] = (untraced_rate / traced_rate - 1.0, "ratio")
     ready = sup.tagged("READY")
-    if ready:
+    if result.require_layer(bool(ready), "a child that became ready"):
         layer["core.model_init_s"] = (ready[0][2]["model_init_s"], "s")
     # Engine counters restart with each child: take the last snapshot of the
     # child that completed the most sequences, per sequence it completed.
@@ -218,7 +227,7 @@ def decode_bound(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMP
     for inc, _, p in sup.tagged("SEQ"):
         count, _ = per_child.get(inc, (0, None))
         per_child[inc] = (count + 1, p["engine"])
-    if per_child:
+    if result.require_layer(bool(per_child and ready), "engine counters of a completed sequence"):
         done, m = max(per_child.values(), key=lambda v: v[0])
         layer["nn.engine_batch_occupancy"] = (m["occupancy_mean"], "tokens/step")
         layer["nn.engine_steps"] = (m["steps"] / done, "count")
@@ -229,18 +238,36 @@ def decode_bound(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMP
         layer["util.peak_tracked_mb"] = (m["memory.peak_bytes"] / 1e6, "MB")
         # Weight bytes streamed per generated token: every step reads the
         # whole bf16 weight set once for all the sequences in the batch.
-        params = ready[0][2]["params"] if ready else 0
         layer["tensor.decode_weight_bytes_per_token"] = (
-            2.0 * params / m["occupancy_mean"] if m["occupancy_mean"] else 0.0,
-            "bytes.computed")
+            2.0 * ready[0][2]["params"] / m["occupancy_mean"], "bytes.computed")
     add_self_times(result, state)
     return result
 
 
 # --------------------------------------------------------------- cpt_train
 
-CPT_BIN_S = 2.0
+CPT_BIN_S = 3.0
 CPT_LOSS_WINDOW = 5
+# A 30 s window holds about 40 step gaps without a snapshot, so the tail
+# with ten samples beyond it is p75. It is fixed rather than taken from
+# each run's count, which crashes vary, so that every run reports the
+# same quantile.
+CPT_TAIL_Q = 0.75
+
+
+def step_gaps(events):
+    """Optimiser-step gaps (ms) between consecutive STEP lines of one child
+    and one epoch, split by whether the Trainer wrote a snapshot inside the
+    gap: [(gap, after_snapshot, traced, previous payload, payload)]."""
+    out = []
+    previous = {}
+    for inc, t, p in events:
+        key = (inc, p["epoch"])
+        last = previous.get(key)
+        if last is not None and p["step"] == last[1]["step"] + 1:
+            out.append(((t - last[0]) * 1000.0, last[1]["snapshot"], p["traced"], last[1], p))
+        previous[key] = (t, p)
+    return out
 
 
 def cpt_train(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLES):
@@ -250,16 +277,8 @@ def cpt_train(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLES
     finish_setup(result, sup, argv, state, "cpt", setup_runs)
     verdict = verify_lines(result, sup)
 
-    steps = {}
-    gaps = []
-    previous = {}
     events = sup.tagged("STEP")
-    for inc, t, p in events:
-        steps[(p["round"], p["step"])] = p
-        key = (inc, p["round"])
-        if key in previous:
-            gaps.append((t - previous[key]) * 1000.0)
-        previous[key] = t
+    steps = {(p["epoch"], p["step"]): p for _, _, p in events}
     ordered = [steps[k] for k in sorted(steps)]
     losses = [p["loss"] for p in ordered]
     result.check(all(p["finite"] for p in ordered), "a training loss is not finite")
@@ -269,10 +288,15 @@ def cpt_train(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLES
     if first and last:
         result.check(sum(last) / len(last) < sum(first) / len(first),
                      "mean loss of the last window is not below the first")
-    rounds = [p for _, _, p in sup.tagged("ROUND")]
-    for p in rounds:
+    epochs = [p for _, _, p in sup.tagged("EPOCH")]
+    for p in epochs:
         result.check(p["tokens_processed"] == p["steps"] * p["tokens_per_step"],
-                     "round %d: tokens_processed != steps x micro-batch x seq" % p["round"])
+                     "epoch %d: tokens_processed != steps x micro-batch x seq" % p["epoch"])
+    # Step time leaves out the gaps in which the Trainer wrote a snapshot;
+    # those are reported apart (nn.train_snapshot_ms), as is the epoch
+    # boundary. Throughput counts everything.
+    gaps = step_gaps(events)
+    plain = [g for g, snap, _, _, _ in gaps if not snap]
     ready = sup.tagged("READY")
     per_step = ready[0][2]["tokens_per_step"] if ready else 0
     start, end = window(state, seconds)
@@ -281,41 +305,47 @@ def cpt_train(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLES
     result.lost = len(events) - len(steps) + sup.restarts
     result.require(bool(rates), "no live measurement interval")
     result.e2e["work_per_s"] = (median(rates) * per_step, "1/s")
-    result.e2e["latency_p50_ms"] = (percentile(gaps, 0.5), "ms")
-    result.e2e["latency_tail_ms"] = (percentile(gaps, tail_quantile(len(gaps))), "ms")
-    result.notes.append("cpt: %d steps in %d rounds, loss %.3f -> %.3f (first/last %d-step "
-                        "means), oracle loss %.3f -> %.3f" % (
-                            len(steps), len(rounds), sum(first) / max(1, len(first)),
-                            sum(last) / max(1, len(last)), CPT_LOSS_WINDOW,
-                            verdict.get("loss_before", 0), verdict.get("loss_after", 0)))
+    result.e2e["latency_p50_ms"] = (percentile(plain, 0.5), "ms")
+    result.e2e["latency_tail_ms"] = (percentile(plain, CPT_TAIL_Q), "ms")
+    result.notes.append("cpt: %d steps (%d epochs of %s completed), %d step gaps without a "
+                        "snapshot (tail p%d), loss %.3f -> %.3f (first/last %d-step means), "
+                        "oracle loss %.3f -> %.3f" % (
+                            len(steps), len(epochs), ready[0][2]["epoch_steps"] if ready else "?",
+                            len(plain), round(100 * CPT_TAIL_Q),
+                            sum(first) / max(1, len(first)), sum(last) / max(1, len(last)),
+                            CPT_LOSS_WINDOW, verdict.get("loss_before", 0),
+                            verdict.get("loss_after", 0)))
+    result.notes.append("cpt verification: tokens_processed checked on %d finished epochs%s"
+                        % (len(epochs), " and on the last snapshot (step %d)"
+                           % verdict["snapshot_steps"] if "snapshot_steps" in verdict else ""))
     if not trace:
         return result
     layer = result.layer
-    if ready:
+    if result.require_layer(bool(ready), "a child that became ready"):
         layer["corpus.cpt_corpus_s"] = (ready[0][2]["cpt_corpus_s"], "s")
-    traced_gaps, untraced_gaps = [], []
-    previous = {}
-    for inc, t, p in events:
-        key = (inc, p["round"])
-        if key in previous:
-            (traced_gaps if p["traced"] else untraced_gaps).append((t - previous[key]) * 1000.0)
-        previous[key] = t
-    layer["nn.train_step_ms"] = (percentile(traced_gaps or gaps, 0.5), "ms")
-    layer["util.trace_overhead_ratio"] = (
-        percentile(traced_gaps, 0.5) / percentile(untraced_gaps, 0.5) - 1.0
-        if traced_gaps and untraced_gaps else 0.0, "ratio")
-    counted = [p for p in rounds if "counters_after" in p]
-    done = sum(p["steps"] for p in counted) or 1
+    traced_plain = [g for g, snap, traced, _, _ in gaps if traced and not snap]
+    untraced_plain = [g for g, snap, traced, _, _ in gaps if not traced and not snap]
+    snapshot_gaps = [g for g, snap, _, _, _ in gaps if snap]
+    if result.require_layer(bool(traced_plain), "traced step gaps without a snapshot"):
+        layer["nn.train_step_ms"] = (percentile(traced_plain, 0.5), "ms")
+    if result.require_layer(bool(snapshot_gaps), "step gaps with a snapshot"):
+        layer["nn.train_snapshot_ms"] = (
+            percentile(snapshot_gaps, 0.5) - percentile(plain, 0.5), "ms")
+    if lead_in > 0 and result.require_layer(bool(traced_plain and untraced_plain),
+                                            "step gaps with and without tracing"):
+        layer["util.trace_overhead_ratio"] = (
+            percentile(traced_plain, 0.5) / percentile(untraced_plain, 0.5) - 1.0, "ratio")
 
-    def per_step(name):
-        return sum(p["counters_after"].get(name, 0) - p["counters_before"].get(name, 0)
-                   for p in counted) / done
+    def per_step_count(name):
+        return median([p["counters"][name] - q["counters"][name] for _, _, _, q, p in gaps])
 
-    layer["tensor.gemv_calls"] = (per_step("gemm.gemv_calls"), "count")
-    layer["tensor.multi_gemv_calls"] = (per_step("gemm.multi_gemv_calls"), "count")
-    layer["tensor.gemm_calls"] = (per_step("gemm.calls"), "count")
-    layer["util.pool_tasks"] = (per_step("pool.tasks_submitted"), "count")
-    layer["util.peak_tracked_mb"] = (verdict.get("peak_tracked_bytes", 0.0) / 1e6, "MB")
+    if result.require_layer(bool(gaps), "consecutive optimiser steps"):
+        layer["tensor.gemv_calls"] = (per_step_count("gemm.gemv_calls"), "count")
+        layer["tensor.multi_gemv_calls"] = (per_step_count("gemm.multi_gemv_calls"), "count")
+        layer["tensor.gemm_calls"] = (per_step_count("gemm.calls"), "count")
+        layer["util.pool_tasks"] = (per_step_count("pool.tasks_submitted"), "count")
+    if result.require_layer("peak_tracked_bytes" in verdict, "tracked memory peak"):
+        layer["util.peak_tracked_mb"] = (verdict["peak_tracked_bytes"] / 1e6, "MB")
     add_self_times(result, state)
     return result
 
@@ -335,19 +365,9 @@ def hexbytes(text):
 
 def serve_setup_sample(state):
     """One set-up of a fresh server: start until LISTENING, then stop it."""
-    t0 = time.time()
-    err = open(os.path.join(state, "serve-setup.stderr"), "ab")
-    proc = subprocess.Popen([SERVE] + SERVE_FLAGS + WORLD_FLAGS, stdout=subprocess.PIPE,
-                            stderr=err)
-    err.close()
-    ready = None
-    for raw in proc.stdout:
-        if raw.startswith(b"LISTENING"):
-            ready = time.time() - t0
-            break
-    stop_process(proc)
-    proc.stdout.close()
-    return ready
+    server = ServerProcess(state, False)
+    server.stop()
+    return server.ready_s[0] if server.ready_s else None
 
 
 def run_serve_oracle(observations, state):
@@ -355,19 +375,8 @@ def run_serve_oracle(observations, state):
     with open(path, "w") as handle:
         json.dump(observations, handle)
     argv = [HARNESS, "serve-oracle", "--in=%s" % path] + WORLD_FLAGS
-    for _ in range(5):
-        child = Child(argv, os.path.join(state, "serve-oracle.stderr"))
-        verdict = None
-        while True:
-            item = child.lines.get()
-            if item is None:
-                break
-            if item[1] == "VERIFY":
-                verdict = item[2]
-        status, _ = child.wait()
-        if status == 0 and verdict is not None:
-            return verdict
-    return None
+    lines = run_child(argv, os.path.join(state, "serve-oracle.stderr"), "VERIFY", attempts=5)
+    return [p for _, tag, p in lines if tag == "VERIFY"][-1] if lines else None
 
 
 def untraced_capacity(seed, seconds, state):
@@ -387,7 +396,7 @@ def untraced_capacity(seed, seconds, state):
 
 def serve_chat(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLES):
     result = Result()
-    untraced_rate = untraced_capacity(seed, lead_in, state) if trace else 0.0
+    untraced_rate = untraced_capacity(seed, lead_in, state) if trace and lead_in > 0 else 0.0
     server = ServerProcess(state, trace)
     try:
         port = server.wait_port()
@@ -480,9 +489,9 @@ def serve_chat(seed, seconds, state, trace, lead_in=0.0, setup_runs=SETUP_SAMPLE
                             (verdict or {}).get("generate_checked")))
     if trace:
         serve_layers(result, records, open_records, scraped, server, verdict or {}, state)
-        traced_rate = result.e2e["work_per_s"][0]
-        result.layer["util.trace_overhead_ratio"] = (
-            untraced_rate / traced_rate - 1.0 if traced_rate and untraced_rate else 0.0, "ratio")
+        if lead_in > 0 and result.require_layer(capacity > 0 and untraced_rate > 0,
+                                                "capacity with and without tracing"):
+            result.layer["util.trace_overhead_ratio"] = (untraced_rate / capacity - 1.0, "ratio")
     return result
 
 
@@ -491,29 +500,35 @@ def serve_layers(result, records, open_records, scraped, server, verdict, state)
     incarnations; latency percentiles from the incarnation that served the
     most requests, set against the client's view of that same incarnation)."""
     layer = result.layer
+    if not result.require_layer(bool(scraped), "a /metrics scrape"):
+        return
     totals = {}
     for values in scraped.values():
         for name, value in values.items():
             totals[name] = totals.get(name, 0.0) + value
-    busiest = max(scraped.items(), key=lambda kv: kv[1].get("serve.http_requests", 0),
-                  default=(None, {}))
-    life = server.lives.get(busiest[0])
-    main = busiest[1]
+    port, main = max(scraped.items(), key=lambda kv: kv[1].get("serve.http_requests", 0))
+    life = server.lives.get(port)
     client = [(r["done"] - r["sent"]) * 1000.0 for r in records if r["status"] == 200
               and (life is None or life[0] <= r["sent"] and r["done"] <= life[1])]
-    server_p50 = main.get("serve.request_latency_ms_p50", 0.0)
-    layer["serve.server_ms_p50"] = (server_p50, "ms")
-    layer["serve.outside_ms_p50"] = (percentile(client, 0.5) - server_p50, "ms")
-    layer["serve.mcq_ms_p50"] = (main.get("serve.mcq_latency_ms_p50", 0.0), "ms")
-    layer["serve.generate_ms_p50"] = (main.get("serve.generate_latency_ms_p50", 0.0), "ms")
+    for name, key in (("serve.server_ms_p50", "serve.request_latency_ms_p50"),
+                      ("serve.mcq_ms_p50", "serve.mcq_latency_ms_p50"),
+                      ("serve.generate_ms_p50", "serve.generate_latency_ms_p50")):
+        if result.require_layer(key in main, "/metrics " + key):
+            layer[name] = (main[key], "ms")
+    if result.require_layer(bool(client) and "serve.request_latency_ms_p50" in main,
+                            "client latencies of the scraped server"):
+        layer["serve.outside_ms_p50"] = (
+            percentile(client, 0.5) - main["serve.request_latency_ms_p50"], "ms")
     per_token = [(r["done"] - r["sent"]) * 1000.0 / r["reply"]["tokens_generated"]
                  for r in records if r["kind"] != "mcq" and r["status"] == 200
                  and r["reply"].get("tokens_generated")]
-    layer["serve.generate_ms_per_token_p50"] = (percentile(per_token, 0.5), "ms")
+    if result.require_layer(bool(per_token), "a generate reply with tokens"):
+        layer["serve.generate_ms_per_token_p50"] = (percentile(per_token, 0.5), "ms")
     reused = sum(r["reply"].get("reused_prefix_tokens", 0) for r in records
                  if r["kind"] == "chat" and r["status"] == 200)
     prompt_tokens = verdict.get("sessioned_prompt_tokens", 0)
-    layer["serve.session_reuse_ratio"] = (reused / prompt_tokens if prompt_tokens else 0.0, "ratio")
+    if result.require_layer(prompt_tokens > 0, "sessioned prompt tokens"):
+        layer["serve.session_reuse_ratio"] = (reused / prompt_tokens, "ratio")
     layer["serve.session_hits"] = (totals.get("serve.session_hits", 0.0), "count")
     layer["serve.session_misses"] = (totals.get("serve.session_misses", 0.0), "count")
     layer["serve.session_evictions"] = (
@@ -522,10 +537,11 @@ def serve_layers(result, records, open_records, scraped, server, verdict, state)
     layer["serve.shed_503"] = (totals.get("serve.responses_503", 0.0), "count")
     layer["serve.expired_504"] = (totals.get("serve.responses_504", 0.0), "count")
     sessions = main.get("serve.sessions", 0.0)
-    layer["nn.kv_bytes_per_session"] = (
-        main.get("memory.kv_bytes", 0.0) / sessions if sessions else 0.0, "bytes")
+    if result.require_layer(sessions > 0 and "memory.kv_bytes" in main, "live sessions' KV bytes"):
+        layer["nn.kv_bytes_per_session"] = (main["memory.kv_bytes"] / sessions, "bytes")
     lags = [(r["sent"] - r["due"]) * 1000.0 for r in open_records]
-    layer["loadgen.send_lag_ms_p99"] = (percentile(lags, 0.99), "ms")
+    if result.require_layer(bool(lags), "fixed-rate requests"):
+        layer["loadgen.send_lag_ms_p99"] = (percentile(lags, 0.99), "ms")
     requests = totals.get("serve.http_requests", 0.0) or 1.0
     layer["tensor.gemv_calls"] = (totals.get("gemm.gemv_calls", 0.0) / requests, "count")
     layer["tensor.multi_gemv_calls"] = (
@@ -533,8 +549,7 @@ def serve_layers(result, records, open_records, scraped, server, verdict, state)
     layer["tensor.gemm_calls"] = (totals.get("gemm.calls", 0.0) / requests, "count")
     layer["util.pool_tasks"] = (totals.get("pool.tasks_submitted", 0.0) / requests, "count")
     layer["util.peak_tracked_mb"] = (
-        max(v.get("memory.peak_bytes", 0.0) for v in scraped.values()) / 1e6
-        if scraped else 0.0, "MB")
+        max(v.get("memory.peak_bytes", 0.0) for v in scraped.values()) / 1e6, "MB")
     add_self_times(result, state)
 
 
@@ -546,16 +561,25 @@ WORKLOADS = {
 }
 
 
-# Companion slices: long enough for one traced round after a 1 s lead-in
-# (decode_bound's model takes seconds to load before it).
-COMPANION_S = {"mcq_eval": 8.0, "decode_bound": 8.0, "cpt_train": 5.0, "serve_chat": 4.0}
+# Companion slices: long enough for one traced round of each workload, and
+# for cpt_train a step after its first snapshot (decode_bound's model takes
+# seconds to load before its slice starts).
+COMPANION_S = {"mcq_eval": 8.0, "decode_bound": 10.0, "cpt_train": 6.0, "serve_chat": 4.0}
+# decode_bound's child can crash before its first sequence completes, so a
+# slice is retried while the run's time allows: a retry needs its slice plus
+# this much for model reloads after crashes, checks, the remaining slices
+# and the probes (a 10 s decode_bound slice took 17-39 s in all).
+COMPANION_ATTEMPTS = 6
+COMPANION_RESERVE_S = 60.0
 
 
 def traced_run(workload, seed, seconds, state):
     """The traced run: `workload` traced for `seconds` (after an untraced
     lead-in that gives util.trace_overhead_ratio), then a short traced slice
     of each other workload so that every per-layer metric is measured, then
-    the per-layer probes. Figures of `workload` itself take precedence."""
+    the per-layer probes. Figures of `workload` itself take precedence. A
+    slice that a crash leaves without some of its figures is run again while
+    the run's time allows."""
     lead_in = max(1.0, seconds / 3.0)
     own_state = os.path.join(state, workload)
     os.makedirs(own_state)
@@ -563,15 +587,22 @@ def traced_run(workload, seed, seconds, state):
     for other in sorted(WORKLOADS):
         if other == workload:
             continue
-        sub_state = os.path.join(state, other)
-        os.makedirs(sub_state)
-        companion = WORKLOADS[other](seed, COMPANION_S[other], sub_state, True, 1.0, 1)
+        for attempt in range(COMPANION_ATTEMPTS):
+            sub_state = os.path.join(state, "%s-%d" % (other, attempt))
+            os.makedirs(sub_state)
+            companion = WORKLOADS[other](seed, COMPANION_S[other], sub_state, True, 0.0, 1)
+            if companion.correct and not companion.unmeasured_layers:
+                break
+            if time.time() + COMPANION_S[other] + COMPANION_RESERVE_S > hard_end():
+                break
+            log("companion %s left out %s; running it again"
+                % (other, companion.unmeasured_layers))
         result.check(companion.correct, "companion slice %s failed its checks" % other)
         result.problems.extend(companion.problems)
         for name, value in companion.layer.items():
             result.layer.setdefault(name, value)
-        result.notes.append("companion %s: %d operations, %d restarts"
-                            % (other, companion.attempted, companion.restarts))
+        result.notes.append("companion %s: %d operations, %d restarts, %d attempts"
+                            % (other, companion.attempted, companion.restarts, attempt + 1))
     for name, value in run_probes(seed, state).items():
         result.layer.setdefault(name, value)
     return result
@@ -579,18 +610,5 @@ def traced_run(workload, seed, seconds, state):
 
 def run_probes(seed, state):
     argv = [HARNESS, "probes", "--seed=%d" % seed, "--state=%s" % state]
-    for _ in range(5):
-        child = Child(argv, os.path.join(state, "probes.stderr"))
-        found = {}
-        done = False
-        while True:
-            item = child.lines.get()
-            if item is None:
-                break
-            if item[1] == "PROBE":
-                found[item[2]["name"]] = (item[2]["value"], item[2]["unit"])
-            done = done or item[1] == "VERIFY"
-        status, _ = child.wait()
-        if status == 0 and done:
-            return found
-    return {}
+    lines = run_child(argv, os.path.join(state, "probes.stderr"), "VERIFY", attempts=5)
+    return {p["name"]: (p["value"], p["unit"]) for _, tag, p in lines or [] if tag == "PROBE"}
