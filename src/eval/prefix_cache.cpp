@@ -62,7 +62,7 @@ std::unique_ptr<PrefixCache> PrefixCache::build(
                                static_cast<std::uint64_t>(common.size()));
   std::unique_ptr<PrefixCache> cache(new PrefixCache(model, std::move(arena)));
   try {
-    for (const nn::Token token : common) cache->encoder_.step(token);
+    cache->encoder_.prompt(common);
   } catch (const std::bad_alloc&) {
     // The encoder's KV cache does not fit the memory budget (or the heap).
     // Building happens before the supervisor's per-question fault domains
@@ -83,20 +83,24 @@ std::unique_ptr<PrefixCache> PrefixCache::build(
 
 std::size_t PrefixCache::fork(nn::GptInference& inference,
                               const std::vector<nn::Token>& prompt_tokens) const {
+  const std::size_t reused = fork_unrecorded(inference, prompt_tokens);
+  note_prompt(prompt_tokens.size(), reused);
+  return reused;
+}
+
+std::size_t PrefixCache::fork_unrecorded(nn::GptInference& inference,
+                                         const std::vector<nn::Token>& prompt_tokens) const {
   const util::trace::Span span("prefix_cache.fork", "cache");
   std::shared_lock<std::shared_mutex> lock(evict_mutex_);
+  inference.reset();
   if (evicted_) {
     // Ladder rung 1 fired: run the prompt uncached. Same logits, same
     // scores — only the prefill cost changes.
-    inference.reset();
-    note_prompt(prompt_tokens.size(), 0);
     return 0;
   }
   std::size_t common = nn::common_token_prefix(snapshot_.tokens(), prompt_tokens);
   if (!prompt_tokens.empty()) common = std::min(common, prompt_tokens.size() - 1);
-  inference.reset();
   if (common > 0) inference.fork_from(snapshot_, common);
-  note_prompt(prompt_tokens.size(), common);
   return common;
 }
 

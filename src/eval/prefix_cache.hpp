@@ -79,6 +79,12 @@ class PrefixCache {
   std::size_t fork(nn::GptInference& inference,
                    const std::vector<nn::Token>& prompt_tokens) const;
 
+  /// The same fork, left out of `stats()` and the `prefix_cache.*`
+  /// counters: for calibration prompts that are not benchmark questions
+  /// (letter-token detection), so the reuse accounting stays per question.
+  std::size_t fork_unrecorded(nn::GptInference& inference,
+                              const std::vector<nn::Token>& prompt_tokens) const;
+
   /// Same contract, forking into one slot of a `BatchedInference` (the
   /// decode engine's admission path). Reuse accounting and the returned
   /// feed offset are identical to the serial overload.

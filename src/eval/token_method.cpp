@@ -9,6 +9,7 @@
 #include "eval/prompts.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace astromlab::eval {
@@ -49,7 +50,8 @@ std::vector<nn::Token> to_model_tokens(const std::vector<tokenizer::TokenId>& id
 LetterTokens detect_letter_tokens(const nn::GptModel& model,
                                   const tokenizer::BpeTokenizer& tok,
                                   const std::vector<corpus::McqItem>& calibration,
-                                  const std::vector<corpus::McqItem>& fewshot) {
+                                  const std::vector<corpus::McqItem>& fewshot,
+                                  const PrefixCache* prefix_cache) {
   const auto spaced = letter_family(tok, /*leading_space=*/true);
   const auto plain = letter_family(tok, /*leading_space=*/false);
   if (!plain) {
@@ -67,32 +69,59 @@ LetterTokens detect_letter_tokens(const nn::GptModel& model,
   // Both families exist: examine the top-10 next tokens on calibration
   // prompts (paper §V-B) and count which family the model actually ranks.
   const util::trace::Span span("eval.detect_letter_tokens", "eval");
+  const std::size_t n_calibration = std::min<std::size_t>(calibration.size(), 6);
+  struct ProbeHits {
+    bool usable = false;
+    bool out_of_memory = false;
+    std::size_t spaced = 0;
+    std::size_t plain = 0;
+  };
+  std::vector<ProbeHits> probes(n_calibration);
+  // One calibration prompt per task, each with its own probe: nested
+  // kernels run inline, so every prompt keeps to one core. The hit counts
+  // are sums, so the split never changes the decision.
+  util::parallel_for_each(
+      n_calibration,
+      [&](std::size_t q) {
+        ProbeHits& probe = probes[q];
+        const std::string prompt = build_token_prompt(calibration[q], fewshot);
+        const std::vector<nn::Token> tokens = to_model_tokens(tok.encode(prompt));
+        if (tokens.size() >= model.config().ctx_len) return;
+        probe.usable = true;
+        try {
+          nn::GptInference inference(model);
+          // Calibration prompts share the benchmark's two-shot block: fork
+          // it and feed only the tail (bit-identical to a cold prefill).
+          const std::size_t fed_from =
+              prefix_cache != nullptr ? prefix_cache->fork_unrecorded(inference, tokens) : 0;
+          const std::vector<float>& logits =
+              inference.prompt(tokens.data() + fed_from, tokens.size() - fed_from, nullptr);
+          for (std::size_t idx : top_k_indices(logits, 10)) {
+            const auto id = static_cast<tokenizer::TokenId>(idx);
+            if (std::find(spaced->begin(), spaced->end(), id) != spaced->end()) ++probe.spaced;
+            if (std::find(plain->begin(), plain->end(), id) != plain->end()) ++probe.plain;
+          }
+        } catch (const std::bad_alloc&) {
+          // The probe's KV cache does not fit the memory budget. Detection
+          // is calibration, not scoring, and it runs before the
+          // supervisor's fault domains exist — so this prompt adds no
+          // evidence instead of aborting the benchmark. The probe's
+          // partial charge is released with `inference`.
+          probe.out_of_memory = true;
+        }
+      },
+      1);
   std::size_t spaced_hits = 0;
   std::size_t plain_hits = 0;
   std::size_t usable_prompts = 0;
-  const std::size_t n_calibration = std::min<std::size_t>(calibration.size(), 6);
-  nn::GptInference inference(model);
-  try {
-    for (std::size_t q = 0; q < n_calibration; ++q) {
-      const std::string prompt = build_token_prompt(calibration[q], fewshot);
-      std::vector<nn::Token> tokens = to_model_tokens(tok.encode(prompt));
-      if (tokens.size() >= model.config().ctx_len) continue;
-      ++usable_prompts;
-      inference.reset();
-      const std::vector<float>& logits = inference.prompt(tokens);
-      for (std::size_t idx : top_k_indices(logits, 10)) {
-        const auto id = static_cast<tokenizer::TokenId>(idx);
-        if (std::find(spaced->begin(), spaced->end(), id) != spaced->end()) ++spaced_hits;
-        if (std::find(plain->begin(), plain->end(), id) != plain->end()) ++plain_hits;
-      }
-    }
-  } catch (const std::bad_alloc&) {
-    // The probe's KV cache does not fit the memory budget. Detection is
-    // calibration, not scoring, and it runs before the supervisor's fault
-    // domains exist — so degrade to whatever evidence was gathered
-    // (possibly none: the zero-evidence default below) instead of
-    // aborting the benchmark. The probe's partial charge is released with
-    // `inference` at scope exit.
+  bool out_of_memory = false;
+  for (const ProbeHits& probe : probes) {
+    spaced_hits += probe.spaced;
+    plain_hits += probe.plain;
+    usable_prompts += probe.usable ? 1 : 0;
+    out_of_memory = out_of_memory || probe.out_of_memory;
+  }
+  if (out_of_memory) {
     log::warn() << "letter-token detection: probe K/V does not fit the memory "
                    "budget; deciding on partial evidence";
   }
@@ -226,7 +255,20 @@ std::vector<QuestionResult> run_token_benchmark(
     PrefixCacheStats* cache_stats, SupervisorStats* run_stats) {
   const util::trace::Span bench_span("eval.token_benchmark", "eval");
   const std::vector<corpus::McqItem> fewshot = pick_fewshot_examples(practice_pool);
-  const LetterTokens letters = detect_letter_tokens(model, tok, practice_pool, fewshot);
+
+  // Shared-prefix KV snapshot: encode the two-shot block once, fork it per
+  // question (and per calibration prompt of letter detection). Built from
+  // the first two question prompts so the common token prefix is
+  // discovered at the token level (robust to BPE merges across the
+  // prefix/question boundary).
+  std::unique_ptr<PrefixCache> cache;
+  if (opts.prefix_cache && benchmark.size() >= 2) {
+    cache = PrefixCache::build(
+        model, tok,
+        {build_token_prompt(benchmark[0], fewshot), build_token_prompt(benchmark[1], fewshot)});
+  }
+  const LetterTokens letters =
+      detect_letter_tokens(model, tok, practice_pool, fewshot, cache.get());
   if (cache_stats != nullptr) *cache_stats = PrefixCacheStats{};
 
   std::vector<QuestionResult> results(benchmark.size());
@@ -260,16 +302,6 @@ std::vector<QuestionResult> run_token_benchmark(
     engine = std::make_unique<nn::DecodeEngine>(model, effective.decode_batch);
   }
 
-  // Shared-prefix KV snapshot: encode the two-shot block once, fork it per
-  // question. Built from the first two question prompts so the common
-  // token prefix is discovered at the token level (robust to BPE merges
-  // across the prefix/question boundary).
-  std::unique_ptr<PrefixCache> cache;
-  if (effective.prefix_cache && benchmark.size() >= 2) {
-    cache = PrefixCache::build(
-        model, tok,
-        {build_token_prompt(benchmark[0], fewshot), build_token_prompt(benchmark[1], fewshot)});
-  }
   // One immutable snapshot shared read-only by every worker; one fork
   // buffer per worker slot so concurrent questions never share KV state.
   std::vector<std::unique_ptr<nn::GptInference>> scratch(effective.worker_slots());

@@ -42,11 +42,16 @@ struct LetterTokens {
 /// prompts from `calibration` items, reads the model's top-10 next tokens
 /// after "Answer:", and picks the letter-token family that appears there.
 /// Falls back to bare letters (with an explicit space feed) when the
-/// vocabulary has no single leading-space letter tokens.
+/// vocabulary has no single leading-space letter tokens. The calibration
+/// prompts run as separate tasks on the global pool, one core each. With a
+/// `prefix_cache` holding the two-shot block, each calibration prompt forks
+/// it and feeds only its tail; the result is identical either way, and the
+/// forks are not recorded in the cache's stats.
 LetterTokens detect_letter_tokens(const nn::GptModel& model,
                                   const tokenizer::BpeTokenizer& tok,
                                   const std::vector<corpus::McqItem>& calibration,
-                                  const std::vector<corpus::McqItem>& fewshot);
+                                  const std::vector<corpus::McqItem>& fewshot,
+                                  const PrefixCache* prefix_cache = nullptr);
 
 /// Per-question knobs for the token-method runners.
 struct TokenMethodConfig {

@@ -59,11 +59,13 @@ void DecodeEngine::engine_loop() {
     util::metrics::Counter& steps;
     util::metrics::Counter& tokens;
     util::metrics::Histogram& occupancy;
+    util::metrics::Counter& prefill_tokens;
   };
   static EngineMetrics metrics{
       util::metrics::registry().counter("decode.steps"),
       util::metrics::registry().counter("decode.tokens"),
-      util::metrics::registry().histogram("decode.batch_occupancy")};
+      util::metrics::registry().histogram("decode.batch_occupancy"),
+      util::metrics::registry().counter("nn.prefill_tokens")};
 
   std::vector<std::shared_ptr<Job>> active;
   std::vector<std::shared_ptr<Job>> finished;
@@ -184,6 +186,7 @@ void DecodeEngine::engine_loop() {
         for (const auto& job : step_jobs) {
           if (!job->decoding) {
             ++job->cursor;
+            metrics.prefill_tokens.add();
             if (job->cursor < job->req.prompt.size()) continue;  // still prompting
             job->decoding = true;
           }

@@ -8,6 +8,7 @@
 #include "tensor/bf16.hpp"
 #include "tensor/ops.hpp"
 #include "util/checksum.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace astromlab::nn {
@@ -17,6 +18,19 @@ using tensor::sgemm;
 namespace {
 
 constexpr float kLnEps = 1e-5f;
+
+/// Prompt tokens fed (`GptInference::prompt`) and LM-head rows computed
+/// (one per logit vector, serial or batched).
+struct InferenceMetrics {
+  util::metrics::Counter& prefill_tokens;
+  util::metrics::Counter& logit_rows;
+};
+
+InferenceMetrics& inference_metrics() {
+  static InferenceMetrics m{util::metrics::registry().counter("nn.prefill_tokens"),
+                            util::metrics::registry().counter("nn.logit_rows")};
+  return m;
+}
 
 void layernorm_forward(float* out, float* mean, float* rstd, const float* x, const float* gain,
                        const float* bias, std::size_t rows, std::size_t cols) {
@@ -586,6 +600,7 @@ GptInference::GptInference(const GptModel& model, std::shared_ptr<KvArena> arena
   fch_.assign(cfg.d_ff, 0.0f);
   scores_.assign(cfg.ctx_len, 0.0f);
   logits_.assign(cfg.vocab_size, 0.0f);
+  inference_metrics();  // registered up front so exports show 0, not nothing
 }
 
 void GptInference::reset() {
@@ -852,6 +867,11 @@ void GptInference::corrupt_kv_for_testing(std::size_t layer, std::size_t index, 
 }
 
 const std::vector<float>& GptInference::step(Token token) {
+  forward_token(token);
+  return compute_logits();
+}
+
+void GptInference::forward_token(Token token) {
   const auto& cfg = model_.config();
   const auto& layout = model_.layout();
   const auto& params = model_.params();
@@ -910,17 +930,25 @@ const std::vector<float>& GptInference::step(Token token) {
                  params.param(blk.fc_proj_w), params.param(blk.fc_proj_b), f, c);
     tensor::add_inplace(x_.data(), proj_.data(), c);
   }
+  ++position_;
+  history_.push_back(token);
+}
 
+const std::vector<float>& GptInference::compute_logits() {
+  const auto& cfg = model_.config();
+  const auto& layout = model_.layout();
+  const auto& params = model_.params();
+  const std::size_t c = cfg.d_model;
+  float mean_scratch, rstd_scratch;
   layernorm_forward(ln_.data(), &mean_scratch, &rstd_scratch, x_.data(),
                     params.param(layout.lnf_g), params.param(layout.lnf_b), 1, c);
   if (const tensor::QuantMatrix* qm = model_.quant(layout.wte)) {
     tensor::gemv_quant(*qm, 1.0f, ln_.data(), logits_.data());
   } else {
-    sgemm(false, true, 1, cfg.vocab_size, c, 1.0f, ln_.data(), c, wte, c, 0.0f,
-          logits_.data(), cfg.vocab_size);
+    sgemm(false, true, 1, cfg.vocab_size, c, 1.0f, ln_.data(), c,
+          params.param(layout.wte), c, 0.0f, logits_.data(), cfg.vocab_size);
   }
-  ++position_;
-  history_.push_back(token);
+  inference_metrics().logit_rows.add();
   return logits_;
 }
 
@@ -936,11 +964,15 @@ const std::vector<float>& GptInference::prompt(const std::vector<Token>& tokens,
 
 const std::vector<float>& GptInference::prompt(const Token* tokens, std::size_t count,
                                                const util::CancelToken* cancel) {
-  for (std::size_t i = 0; i < count; ++i) {
+  if (count == 0) return logits_;
+  std::size_t fed = 0;
+  for (; fed < count; ++fed) {
     if (cancel != nullptr && cancel->cancelled()) break;
-    step(tokens[i]);
+    forward_token(tokens[fed]);
   }
-  return logits_;
+  inference_metrics().prefill_tokens.add(fed);
+  if (fed < count) return logits_;  // cancelled: stale, as documented
+  return compute_logits();
 }
 
 // ---------------------------------------------------------------------------
@@ -1222,6 +1254,7 @@ void BatchedInference::step(const std::size_t* slots, const Token* tokens,
     ys_[i] = s.logits.data();
   }
   batched_linear(layout.wte, cfg.vocab_size, c, count);
+  inference_metrics().logit_rows.add(count);
 
   for (std::size_t i = 0; i < count; ++i) {
     Slot& s = slots_[slots[i]];

@@ -225,7 +225,10 @@ class GptInference {
   /// next position. `position()` tokens must be < ctx_len.
   const std::vector<float>& step(Token token);
 
-  /// Feeds a whole prompt; returns logits after the final token.
+  /// Feeds a whole prompt; returns logits after the final token. Only that
+  /// one logit row is computed: the earlier positions write their K/V rows
+  /// and skip the final layernorm and LM head. The returned logits and the
+  /// cached K/V bytes are bitwise equal to stepping the tokens one by one.
   const std::vector<float>& prompt(const std::vector<Token>& tokens);
 
   /// Cancellable prompt feed: polls `cancel` between KV-cache steps and
@@ -300,6 +303,13 @@ class GptInference {
   void ensure_kv();
 
   bool kv_resident() const;
+
+  /// Runs one token through every block: writes its K/V rows, advances
+  /// `position()` and leaves the final residual in `x_`. No logits.
+  void forward_token(Token token);
+
+  /// Final layernorm + LM head over `x_` into `logits_`.
+  const std::vector<float>& compute_logits();
 
   /// Read pointer to cached row `t` of layer `l` (valid only for written
   /// rows). Lock-free: paged mode reads the cached block pointer table.

@@ -136,7 +136,8 @@ void InferenceServer::start() {
 
   // A dedicated pool: handler threads block on sockets and model forwards;
   // sharing ThreadPool::global() would let slow requests starve the GEMM
-  // parallel_for (and vice versa).
+  // parallel_for (and vice versa). Being pool workers, handlers run their
+  // kernels inline: one request per core, no nested fan-out.
   pool_ = std::make_unique<util::ThreadPool>(config_.workers);
   acceptor_ = std::thread(&InferenceServer::acceptor_loop, this);
   if (config_.stats_log_seconds > 0.0) {

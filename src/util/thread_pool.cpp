@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "util/metrics.hpp"
@@ -20,9 +19,18 @@ metrics::Counter& tasks_inline_counter() {
   return c;
 }
 
+metrics::Counter& parallel_for_inline_counter() {
+  static metrics::Counter& c = metrics::registry().counter("pool.parallel_for_inline");
+  return c;
+}
+
+/// Set for the lifetime of every pool worker thread (of any pool).
+thread_local bool t_is_pool_worker = false;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+  parallel_for_inline_counter();  // registered up front so exports show 0, not nothing
   if (num_threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     num_threads = hw > 1 ? hw - 1 : 0;
@@ -78,6 +86,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  t_is_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -113,18 +122,28 @@ void ThreadPool::parallel_for(std::size_t n,
                               std::size_t grain) {
   if (n == 0) return;
   grain = std::max<std::size_t>(grain, 1);
-  const std::size_t parallelism = workers_.size() + 1;
   const std::size_t max_chunks = (n + grain - 1) / grain;
-  const std::size_t chunks = std::min(parallelism, max_chunks);
-  if (chunks <= 1 || workers_.empty()) {
+  const std::size_t chunks = std::min(workers_.size() + 1, max_chunks);
+  if (chunks <= 1) {
+    body(0, n);
+    return;
+  }
+  if (t_is_pool_worker) {
+    // One level of parallelism: a pool task is already one core's worth of
+    // work, so splitting it again only queues sub-chunks behind the very
+    // tasks that are waiting on them.
+    parallel_for_inline_counter().add();
     body(0, n);
     return;
   }
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::atomic<std::size_t> remaining{chunks - 1};
+  // Join state lives on this stack frame. Workers touch it only under
+  // done_mutex, and the caller cannot leave the wait below before the last
+  // worker has released that mutex, so no worker outlives the state.
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::exception_ptr chunk_error;  // first failing chunk wins, guarded by done_mutex
+  std::size_t remaining = chunks - 1;  // guarded by done_mutex
+  std::exception_ptr chunk_error;      // first failing chunk wins, guarded by done_mutex
 
   for (std::size_t c = 1; c < chunks; ++c) {
     const std::size_t begin = c * chunk_size;
@@ -132,16 +151,15 @@ void ThreadPool::parallel_for(std::size_t n,
     submit([&, begin, end] {
       // Capture locally so the join counter always reaches zero; the
       // error is rethrown below after every chunk has finished.
+      std::exception_ptr error;
       try {
         if (begin < end) body(begin, end);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (!chunk_error) chunk_error = std::current_exception();
+        error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (error && !chunk_error) chunk_error = std::move(error);
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
   // Calling thread handles the first chunk.
@@ -152,7 +170,7 @@ void ThreadPool::parallel_for(std::size_t n,
     if (!chunk_error) chunk_error = std::current_exception();
   }
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (chunk_error) {
     std::exception_ptr error = std::exchange(chunk_error, nullptr);
     lock.unlock();

@@ -7,6 +7,17 @@
 // range across workers and joins before returning, so callers never observe
 // partially-applied updates. On single-core machines the pool degrades to
 // serial execution in the calling thread with no locking overhead.
+//
+// One level of parallelism: a `parallel_for` issued from a worker thread of
+// *any* pool runs its whole range inline on that thread. An eval question
+// or a serve request running as a pool task therefore keeps its kernels on
+// its own core, from the fork to the last logit, instead of splitting each
+// gemv into sub-chunks that queue behind the other questions; and a pool
+// whose every worker nests a `parallel_for` cannot deadlock waiting on
+// sub-chunks nobody is free to run. Threads that are not pool workers (the
+// main thread, the decode engine's thread) fan out as before. Kernels split
+// only along independent output rows, so the chunking never changes a bit
+// of any result.
 
 #include <condition_variable>
 #include <cstddef>
@@ -48,8 +59,10 @@ class ThreadPool {
 
   /// Runs `body(begin, end)` over [0, n) split into contiguous chunks,
   /// using the workers plus the calling thread. Blocks until complete.
-  /// `grain` is the minimum chunk size worth parallelising. Every chunk
-  /// runs to completion even when one throws; the first exception is
+  /// `grain` is the minimum chunk size worth parallelising. Called from a
+  /// worker thread of any pool, it runs `body(0, n)` inline (counted as
+  /// `pool.parallel_for_inline` when the range would have split). Every
+  /// chunk runs to completion even when one throws; the first exception is
   /// rethrown after the join, so callers never observe a half-joined
   /// range or a deadlocked pool.
   void parallel_for(std::size_t n,

@@ -16,6 +16,8 @@
 
 #include "nn/gpt.hpp"
 #include "nn/kv_arena.hpp"
+#include "tensor/quant.hpp"
+#include "util/metrics.hpp"
 #include "util/resource_budget.hpp"
 #include "util/rng.hpp"
 
@@ -74,6 +76,51 @@ TEST(PagedKv, StepLogitsMatchContiguousOracleBitwise) {
     const std::vector<float>& got = paged.step(t);
     const std::vector<float>& want = oracle.step(t);
     ASSERT_TRUE(bitwise_equal(got, want));
+  }
+}
+
+TEST(PagedKv, PromptMatchesStepByStepForEveryLayoutAndDtype) {
+  // prompt() computes the logit row of its last token only. What it returns
+  // and every K/V byte it writes must equal feeding the same tokens through
+  // step() one at a time, which computes a row per token.
+  util::metrics::Counter& logit_rows = util::metrics::registry().counter("nn.logit_rows");
+  util::metrics::Counter& prefill = util::metrics::registry().counter("nn.prefill_tokens");
+  for (const tensor::WeightDtype dtype :
+       {tensor::WeightDtype::kF32, tensor::WeightDtype::kBf16, tensor::WeightDtype::kInt8}) {
+    nn::GptModel model = tiny_model();
+    model.quantize_weights(dtype);
+    std::mt19937_64 rng(13);
+    const std::vector<nn::Token> head = random_prompt(rng, 17, model.config().vocab_size);
+    const std::vector<nn::Token> tail = random_prompt(rng, 9, model.config().vocab_size);
+
+    nn::GptInference oracle(model);
+    std::vector<float> head_logits, tail_logits;
+    for (const nn::Token t : head) head_logits = oracle.step(t);
+    const std::uint32_t head_crc = oracle.snapshot().crc();
+    for (const nn::Token t : tail) tail_logits = oracle.step(t);
+    const std::uint32_t tail_crc = oracle.snapshot().crc();
+    const std::vector<float> next_logits = oracle.step(7);
+    const std::uint32_t next_crc = oracle.snapshot().crc();
+
+    for (const bool paged : {false, true}) {
+      SCOPED_TRACE(std::string(tensor::weight_dtype_name(dtype)) +
+                   (paged ? " paged" : " contiguous"));
+      auto arena = paged ? std::make_shared<nn::KvArena>(kBlockTokens, model.config().d_model)
+                         : nullptr;
+      nn::GptInference fed(model, arena);
+      const std::uint64_t rows_before = logit_rows.value();
+      const std::uint64_t prefill_before = prefill.value();
+      EXPECT_TRUE(bitwise_equal(fed.prompt(head), head_logits));
+      EXPECT_EQ(fed.snapshot().crc(), head_crc);
+      EXPECT_EQ(logit_rows.value() - rows_before, 1u);
+      EXPECT_EQ(prefill.value() - prefill_before, head.size());
+      // Extending a fed prompt, then stepping on, stays on the oracle.
+      EXPECT_TRUE(bitwise_equal(fed.prompt(tail.data(), tail.size(), nullptr), tail_logits));
+      EXPECT_EQ(fed.snapshot().crc(), tail_crc);
+      EXPECT_TRUE(bitwise_equal(fed.step(7), next_logits));
+      EXPECT_EQ(fed.snapshot().crc(), next_crc);
+      EXPECT_EQ(logit_rows.value() - rows_before, 3u);
+    }
   }
 }
 

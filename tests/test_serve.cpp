@@ -109,6 +109,11 @@ TEST(Serve, HealthzReportsStatusAndMetricsDump) {
   EXPECT_EQ(metrics->status, 200);
   EXPECT_NE(metrics->body.find("serve.http_requests"), std::string::npos);
   EXPECT_NE(metrics->body.find("serve.request_latency_ms_p99"), std::string::npos);
+  // The program's own work counters: prompt tokens fed, LM-head rows
+  // computed, and nested parallel_for calls the handler pool ran inline.
+  EXPECT_NE(metrics->body.find("nn.prefill_tokens "), std::string::npos);
+  EXPECT_NE(metrics->body.find("nn.logit_rows "), std::string::npos);
+  EXPECT_NE(metrics->body.find("pool.parallel_for_inline "), std::string::npos);
 }
 
 TEST(Serve, RateLimitShedsWithRetryAfter) {

@@ -3,8 +3,10 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace astromlab::util {
@@ -155,6 +157,103 @@ TEST(ThreadPool, ReusableAcrossWaves) {
     });
     EXPECT_EQ(counter.load(), 64);
   }
+}
+
+TEST(ThreadPool, ParallelForFromAPoolTaskRunsOnThatTasksThread) {
+  // One level of parallelism: a pool task (an eval question, a serve
+  // request) keeps its kernels on its own thread, whichever pool the
+  // nested parallel_for targets.
+  ThreadPool outer(2);
+  ThreadPool inner(3);
+  metrics::Counter& inline_count = metrics::registry().counter("pool.parallel_for_inline");
+  const std::uint64_t before = inline_count.value();
+  std::atomic<int> mismatched{0};
+  std::atomic<int> chunks{0};
+  for (int task = 0; task < 8; ++task) {
+    outer.submit([&] {
+      const std::thread::id self = std::this_thread::get_id();
+      for (ThreadPool* pool : {&inner, &outer, &ThreadPool::global()}) {
+        pool->parallel_for(
+            1000,
+            [&](std::size_t begin, std::size_t end) {
+              chunks.fetch_add(1);
+              if (std::this_thread::get_id() != self || begin != 0 || end != 1000) {
+                mismatched.fetch_add(1);
+              }
+            },
+            1);
+      }
+    });
+  }
+  outer.wait_idle();
+  EXPECT_EQ(mismatched.load(), 0);
+  EXPECT_EQ(chunks.load(), 8 * 3);
+  if (ThreadPool::global().worker_count() > 0) {
+    EXPECT_EQ(inline_count.value() - before, 8u * 3u);
+  } else {
+    EXPECT_EQ(inline_count.value() - before, 8u * 2u);
+  }
+}
+
+TEST(ThreadPool, EveryWorkerNestingParallelForCompletes) {
+  // Every worker is busy in a task that issues parallel_for on the same
+  // pool. Queued sub-chunks would have no free worker to run them; the
+  // nested calls must complete inline instead of deadlocking.
+  constexpr int kWorkers = 3;
+  ThreadPool pool(kWorkers);
+  std::atomic<int> entered{0};
+  std::atomic<long long> total{0};
+  for (int task = 0; task < kWorkers; ++task) {
+    pool.submit([&] {
+      entered.fetch_add(1);
+      while (entered.load() < kWorkers) std::this_thread::yield();
+      pool.parallel_for(
+          4096,
+          [&](std::size_t begin, std::size_t end) {
+            total.fetch_add(static_cast<long long>(end - begin));
+          },
+          1);
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(total.load(), kWorkers * 4096LL);
+}
+
+TEST(ThreadPool, BackToBackSmallParallelForsFromSeveralCallers) {
+  // Many short joins just above the grain: every call splits into two
+  // chunks, so the last worker's join signal races the caller's return on
+  // every iteration. The join state lives on the caller's stack, and the
+  // next call reuses that stack. More threads than cores make a worker
+  // likely to be preempted inside its join signal. Under TSan, a join that
+  // lets a worker lock the caller's mutex after the caller returned is
+  // reported here on every run ("use of an invalid mutex" and a data race
+  // on the reused stack); a plain build only rarely crashes on it.
+  constexpr std::size_t kGrain = 8;
+  constexpr int kCallers = 6;
+  constexpr int kIterations = 20000;
+  ThreadPool pool(3);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kIterations; ++i) {
+        std::atomic<std::size_t> covered{0};
+        pool.parallel_for(
+            kGrain + 1,
+            [&](std::size_t begin, std::size_t end) {
+              // Chunks of varying length, so the caller's chunk often ends
+              // just as the worker's does: the moment the race needs.
+              const std::size_t spin = (static_cast<std::size_t>(i) * (begin + 3)) % 64;
+              for (std::size_t k = 0; k < spin; ++k) covered.fetch_add(0);
+              covered.fetch_add(end - begin);
+            },
+            kGrain);
+        if (covered.load() != kGrain + 1) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "corpus/corpora.hpp"
 #include "eval/prompts.hpp"
 #include "eval/token_method.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace astromlab::eval {
@@ -90,6 +91,46 @@ TEST(LetterDetection, FallsBackToBareLettersWithoutSpacedMerges) {
   EXPECT_TRUE(letters.feed_space_first);
   EXPECT_FALSE(letters.leading_space);
   EXPECT_EQ(world.tok.decode_token(letters.ids[0]), "A");
+}
+
+TEST(LetterDetection, ForkingThePrefixCacheMatchesColdPrefills) {
+  // At this vocabulary both letter families exist, so detection really
+  // runs its calibration prefills instead of deciding from the vocabulary
+  // alone, and the model ranks letters in its top 10 (non-zero evidence).
+  const TinyWorld world = make_world(/*vocab=*/500);
+  const nn::GptModel model = make_model(world, /*ctx=*/1024);
+  ASSERT_TRUE(world.tok.token_to_id(" D").has_value());
+  const auto fewshot = pick_fewshot_examples(world.mcqs.practice);
+  const auto cache = PrefixCache::build(
+      model, world.tok,
+      {build_token_prompt(world.mcqs.benchmark[0], fewshot),
+       build_token_prompt(world.mcqs.benchmark[1], fewshot)});
+  ASSERT_NE(cache, nullptr);
+
+  util::metrics::Counter& evidence =
+      util::metrics::registry().counter("eval.letter_detection_evidence");
+  util::metrics::Counter& prefill = util::metrics::registry().counter("nn.prefill_tokens");
+  std::uint64_t evidence_before = evidence.value();
+  std::uint64_t prefill_before = prefill.value();
+  const LetterTokens cold = detect_letter_tokens(model, world.tok, world.mcqs.practice, fewshot);
+  const std::uint64_t cold_evidence = evidence.value() - evidence_before;
+  const std::uint64_t cold_prefill = prefill.value() - prefill_before;
+  evidence_before = evidence.value();
+  prefill_before = prefill.value();
+  const LetterTokens forked =
+      detect_letter_tokens(model, world.tok, world.mcqs.practice, fewshot, cache.get());
+  const std::uint64_t forked_evidence = evidence.value() - evidence_before;
+  const std::uint64_t forked_prefill = prefill.value() - prefill_before;
+
+  EXPECT_EQ(cold.ids, forked.ids);
+  EXPECT_EQ(cold.leading_space, forked.leading_space);
+  EXPECT_EQ(cold.feed_space_first, forked.feed_space_first);
+  EXPECT_GT(cold_evidence, 0u);
+  EXPECT_EQ(cold_evidence, forked_evidence);
+  // The forks skipped the shared block, and the cache's per-question
+  // accounting left them out.
+  EXPECT_LT(forked_prefill, cold_prefill);
+  EXPECT_EQ(cache->stats().prompts, 0u);
 }
 
 TEST(TokenPredict, DeterministicAndInRange) {

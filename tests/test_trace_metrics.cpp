@@ -292,7 +292,11 @@ TEST(Trace, EvalRunPopulatesQuestionMetrics) {
   const TinyWorld world = make_eval_world();
   const nn::GptModel model = make_eval_model(world);
   metrics::Counter& completed = metrics::registry().counter("eval.questions_completed");
+  metrics::Counter& prefill = metrics::registry().counter("nn.prefill_tokens");
+  metrics::Counter& logit_rows = metrics::registry().counter("nn.logit_rows");
   const std::uint64_t before = completed.value();
+  const std::uint64_t prefill_before = prefill.value();
+  const std::uint64_t rows_before = logit_rows.value();
   const auto before_hist =
       metrics::registry().histogram("eval.question_seconds").snapshot().count;
 
@@ -301,6 +305,11 @@ TEST(Trace, EvalRunPopulatesQuestionMetrics) {
                             nullptr, {}, {}, nullptr, &stats);
 
   EXPECT_EQ(completed.value(), before + world.mcqs.benchmark.size());
+  // Each prompt computes the logit row of its last token only: far fewer
+  // rows than prompt tokens fed.
+  const std::uint64_t rows = logit_rows.value() - rows_before;
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(rows * 10, prefill.value() - prefill_before);
   const auto snap = metrics::registry().histogram("eval.question_seconds").snapshot();
   EXPECT_EQ(snap.count, before_hist + world.mcqs.benchmark.size());
   EXPECT_EQ(stats.completed_questions, world.mcqs.benchmark.size());
