@@ -536,6 +536,12 @@ nn::GptModel batch_bench_model() {
   return model;
 }
 
+/// Median of raw samples (seconds).
+double median_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return util::metrics::percentile_sorted(samples, 0.50);
+}
+
 /// Median of the per-pair ratios `baseline[i] / candidate[i]` (seconds of
 /// interleaved repeats). Each ratio compares two timings taken back to
 /// back, so a shift in host memory bandwidth between repeats moves both
@@ -546,14 +552,7 @@ double median_pair_ratio(const std::vector<double>& baseline,
   for (std::size_t i = 0; i < baseline.size() && i < candidate.size(); ++i) {
     if (candidate[i] > 0.0) ratios.push_back(baseline[i] / candidate[i]);
   }
-  std::sort(ratios.begin(), ratios.end());
-  return util::metrics::percentile_sorted(ratios, 0.50);
-}
-
-/// Median of raw samples (seconds).
-double median_of(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return util::metrics::percentile_sorted(samples, 0.50);
+  return median_of(std::move(ratios));
 }
 
 /// Batched-decode gate: greedy decode throughput of `nn::BatchedInference`
